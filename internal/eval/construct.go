@@ -16,6 +16,7 @@ func (e *Evaluator) Construct(q *sparql.Query) ([]rdf.Triple, error) {
 	if q.Form != sparql.ConstructForm {
 		return nil, fmt.Errorf("eval: Construct requires a CONSTRUCT query")
 	}
+	e = e.scoped()
 	rows, err := e.evalGroup(q.Where, []Binding{{}})
 	if err != nil {
 		return nil, err

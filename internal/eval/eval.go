@@ -6,8 +6,8 @@ package eval
 
 import (
 	"fmt"
+	"maps"
 	"sort"
-	"sync"
 
 	"lusail/internal/rdf"
 	"lusail/internal/sparql"
@@ -19,31 +19,39 @@ import (
 type Binding map[string]rdf.Term
 
 // Evaluator executes queries against a single graph backend (the in-memory
-// store or the disk-backed store).
+// store or the disk-backed store). It is safe for concurrent use: all
+// per-query state lives in a copy made by Query and Construct.
 type Evaluator struct {
 	st store.Graph
 
-	// memo caches sub-select results within the current store version, so
+	// memo caches sub-select results for one Query or Construct call, so
 	// FILTER (NOT) EXISTS { SELECT ... } blocks — the shape of Lusail's
 	// locality check queries — evaluate their inner query once instead of
-	// once per candidate row.
-	memoMu   sync.Mutex
-	memo     map[*sparql.Query]memoEntry
-	memoSets map[*sparql.Query]map[rdf.Term]bool
+	// once per candidate row. It is nil on the evaluator New returns: the
+	// keys are parsed-query pointers, which never recur across requests.
+	memo *subSelectMemo
 }
 
-type memoEntry struct {
-	version int64
-	res     *sparql.Results
+type subSelectMemo struct {
+	res  map[*sparql.Query]*sparql.Results
+	sets map[*sparql.Query]map[rdf.Term]bool
 }
 
 // New returns an evaluator over the given graph backend.
 func New(st store.Graph) *Evaluator {
-	return &Evaluator{
-		st:       st,
-		memo:     map[*sparql.Query]memoEntry{},
-		memoSets: map[*sparql.Query]map[rdf.Term]bool{},
+	return &Evaluator{st: st}
+}
+
+// scoped returns an evaluator carrying a sub-select memo for the duration
+// of one call; a call nested in a scoped one (a sub-select) shares it.
+func (e *Evaluator) scoped() *Evaluator {
+	if e.memo != nil {
+		return e
 	}
+	return &Evaluator{st: e.st, memo: &subSelectMemo{
+		res:  map[*sparql.Query]*sparql.Results{},
+		sets: map[*sparql.Query]map[rdf.Term]bool{},
+	}}
 }
 
 // singleVarSubSelect matches a group of the form { SELECT ?v WHERE ... }
@@ -66,14 +74,14 @@ func singleVarSubSelect(g *sparql.GroupPattern) (*sparql.Query, string, bool) {
 // subSelectSet returns the set of bound values of v in the memoized
 // sub-select results.
 func (e *Evaluator) subSelectSet(q *sparql.Query, v string) (map[rdf.Term]bool, error) {
+	if e.memo != nil {
+		if set, ok := e.memo.sets[q]; ok {
+			return set, nil
+		}
+	}
 	res, err := e.subSelect(q)
 	if err != nil {
 		return nil, err
-	}
-	e.memoMu.Lock()
-	defer e.memoMu.Unlock()
-	if set, ok := e.memoSets[q]; ok {
-		return set, nil
 	}
 	idx := res.VarIndex(v)
 	set := make(map[rdf.Term]bool, len(res.Rows))
@@ -84,34 +92,28 @@ func (e *Evaluator) subSelectSet(q *sparql.Query, v string) (map[rdf.Term]bool, 
 			}
 		}
 	}
-	if len(e.memoSets) > 256 {
-		e.memoSets = map[*sparql.Query]map[rdf.Term]bool{}
+	if e.memo != nil {
+		e.memo.sets[q] = set
 	}
-	e.memoSets[q] = set
 	return set, nil
 }
 
-// subSelect evaluates a nested SELECT, memoized per store version.
+// subSelect evaluates a nested SELECT, memoized within the current call.
+// Without a memo (FilterBinding's expression-only evaluation) it simply
+// evaluates the query.
 func (e *Evaluator) subSelect(q *sparql.Query) (*sparql.Results, error) {
-	v := e.st.Version()
-	e.memoMu.Lock()
-	if ent, ok := e.memo[q]; ok && ent.version == v {
-		e.memoMu.Unlock()
-		return ent.res, nil
+	if e.memo != nil {
+		if res, ok := e.memo.res[q]; ok {
+			return res, nil
+		}
 	}
-	e.memoMu.Unlock()
 	res, err := e.Query(q)
 	if err != nil {
 		return nil, err
 	}
-	e.memoMu.Lock()
-	if len(e.memo) > 256 {
-		e.memo = map[*sparql.Query]memoEntry{}
-		e.memoSets = map[*sparql.Query]map[rdf.Term]bool{}
+	if e.memo != nil {
+		e.memo.res[q] = res
 	}
-	e.memo[q] = memoEntry{version: v, res: res}
-	delete(e.memoSets, q) // the derived value set is stale
-	e.memoMu.Unlock()
 	return res, nil
 }
 
@@ -138,6 +140,7 @@ func (e *Evaluator) Query(q *sparql.Query) (*sparql.Results, error) {
 	if q.Form == sparql.ConstructForm {
 		return nil, fmt.Errorf("eval: use Construct for CONSTRUCT queries")
 	}
+	e = e.scoped()
 	if hint := limitHint(q); hint >= 0 && streamable(q.Where) {
 		rows, err := e.evalStreamLimited(q.Where, hint)
 		if err != nil {
@@ -188,7 +191,9 @@ func streamable(g *sparql.GroupPattern) bool {
 // evalStreamLimited enumerates solutions depth-first, applying filters at
 // each complete assignment, and stops once limit rows are produced.
 func (e *Evaluator) evalStreamLimited(g *sparql.GroupPattern, limit int) ([]Binding, error) {
-	patterns := g.TriplePatterns()
+	if limit == 0 {
+		return nil, nil
+	}
 	var filters []sparql.Expr
 	for _, el := range g.Elements {
 		if f, ok := el.(sparql.Filter); ok {
@@ -196,56 +201,29 @@ func (e *Evaluator) evalStreamLimited(g *sparql.GroupPattern, limit int) ([]Bind
 		}
 	}
 	var out []Binding
-	var evalErr error
-	if limit == 0 {
-		return nil, nil
-	}
-	e.stream(patterns, Binding{}, func(b Binding) bool {
+	e.stream(orderBGP(g.TriplePatterns(), nil, e.st), Binding{}, func(b Binding) bool {
 		for _, f := range filters {
-			ok, err := evalEBV(e, f, b)
-			if err != nil {
-				return true // filter error removes the row; keep searching
-			}
-			if !ok {
-				return true
+			if ok, err := evalEBV(e, f, b); err != nil || !ok {
+				return true // a false or erroring filter removes the row; keep searching
 			}
 		}
 		out = append(out, b)
 		return len(out) < limit
-	}, &evalErr)
-	if evalErr != nil {
-		return nil, evalErr
-	}
+	})
 	return out, nil
 }
 
-// stream recursively extends the binding one pattern at a time, choosing
-// the most selective pattern at each depth. emit returns false to stop the
-// whole enumeration.
-func (e *Evaluator) stream(remaining []sparql.TriplePattern, b Binding, emit func(Binding) bool, evalErr *error) bool {
-	if len(remaining) == 0 {
+// stream extends the binding one pattern at a time in the given join
+// order. emit returns false to stop the whole enumeration.
+func (e *Evaluator) stream(order []sparql.TriplePattern, b Binding, emit func(Binding) bool) bool {
+	if len(order) == 0 {
 		return emit(b)
 	}
-	bound := map[string]bool{}
-	for v := range b {
-		bound[v] = true
-	}
-	best, bestScore := 0, -1<<30
-	for i, tp := range remaining {
-		if score := patternScore(tp, bound, e.st); score > bestScore {
-			best, bestScore = i, score
-		}
-	}
-	tp := remaining[best]
-	rest := make([]sparql.TriplePattern, 0, len(remaining)-1)
-	rest = append(rest, remaining[:best]...)
-	rest = append(rest, remaining[best+1:]...)
-
+	tp := order[0]
 	cont := true
 	e.st.Match(resolve(tp.S, b), resolve(tp.P, b), resolve(tp.O, b), func(t rdf.Triple) bool {
-		nb := extendBinding(b, tp, t)
-		if nb != nil {
-			cont = e.stream(rest, nb, emit, evalErr)
+		if nb := extendBinding(b, tp, t); nb != nil {
+			cont = e.stream(order[1:], nb, emit)
 		}
 		return cont
 	})
@@ -581,68 +559,117 @@ func (e *Evaluator) evalGroup(g *sparql.GroupPattern, input []Binding) ([]Bindin
 	return rows, nil
 }
 
-// evalBGP evaluates a basic graph pattern by joining its triple patterns
-// into the current solutions. Patterns are chosen greedily: at each step,
-// pick the pattern with the most positions bound (by constants or
-// already-bound variables), breaking ties by smaller predicate cardinality.
+// evalBGP evaluates a basic graph pattern by joining its triple patterns,
+// in orderBGP's order, into the current solutions.
 func (e *Evaluator) evalBGP(patterns []sparql.TriplePattern, rows []Binding) []Binding {
-	remaining := append([]sparql.TriplePattern(nil), patterns...)
-	bound := map[string]bool{}
-	if len(rows) > 0 {
-		for v := range rows[0] {
-			bound[v] = true
-		}
-		// Variables bound in *any* seed row count as bound for ordering
-		// purposes; correctness does not depend on this, only efficiency.
-		for _, r := range rows {
-			for v := range r {
-				bound[v] = true
-			}
-		}
-	}
-	for len(remaining) > 0 && len(rows) > 0 {
-		best := 0
-		bestScore := -1 << 30
-		for i, tp := range remaining {
-			score := patternScore(tp, bound, e.st)
-			if score > bestScore {
-				bestScore = score
-				best = i
-			}
-		}
-		tp := remaining[best]
-		remaining = append(remaining[:best], remaining[best+1:]...)
-		rows = e.joinPattern(tp, rows)
-		for _, v := range tp.Vars() {
-			bound[v] = true
-		}
-	}
 	if len(rows) == 0 {
 		return nil
+	}
+	// A variable bound in any seed row counts as bound for ordering (a
+	// VALUES block with UNDEF cells, a UNION or OPTIONAL before the BGP);
+	// correctness does not depend on this, only efficiency.
+	bound := map[string]bool{}
+	for _, r := range rows {
+		for v := range r {
+			bound[v] = true
+		}
+	}
+	for _, tp := range orderBGP(patterns, bound, e.st) {
+		if rows = e.joinPattern(tp, rows); len(rows) == 0 {
+			return nil
+		}
 	}
 	return rows
 }
 
-// patternScore ranks a pattern for greedy join ordering: more bound
-// positions first, then rarer predicates. The predicate statistic comes
-// through the Graph interface, so both the in-memory and the disk backend
-// order joins identically on identical data.
-func patternScore(tp sparql.TriplePattern, bound map[string]bool, st store.Graph) int {
-	score := 0
-	for _, pt := range []sparql.PatternTerm{tp.S, tp.P, tp.O} {
-		if !pt.IsVar() || bound[pt.Var] {
-			score += 1000
+// orderBGP returns the order in which the evaluator joins a BGP's patterns
+// into solutions that already bind the variables in bound. Both the
+// materializing path (evalBGP) and the depth-first LIMIT/ASK path (stream)
+// use it, once per BGP. At each step it takes, of the patterns left, the
+// first by:
+//
+//  1. connectivity: a pattern sharing a bound variable, or with no unbound
+//     variable at all, before one that shares none, since joining that
+//     would cross every partial row with all of its matches;
+//  2. more bound positions (constants and bound variables);
+//  3. fewer triples with its predicate, by Graph.PredicateCount, so both
+//     backends order identically on identical data (a variable predicate
+//     counts as the whole graph);
+//  4. textual order.
+//
+// Join order changes neither the solutions nor their multiplicities, only
+// the Match calls and partial rows on the way to them.
+func orderBGP(patterns []sparql.TriplePattern, bound map[string]bool, st store.Graph) []sparql.TriplePattern {
+	bound = maps.Clone(bound)
+	if bound == nil {
+		bound = map[string]bool{}
+	}
+	cards := make([]int, len(patterns))
+	for i, tp := range patterns {
+		if tp.P.IsVar() {
+			cards[i] = st.Len()
+		} else {
+			cards[i] = st.PredicateCount(tp.P.Term)
 		}
 	}
-	if !tp.P.IsVar() {
-		// Prefer selective predicates: subtract (bounded) predicate count.
-		c := st.PredicateCount(tp.P.Term)
-		if c > 999 {
-			c = 999
-		}
-		score -= c
+	left := make([]int, len(patterns))
+	for i := range left {
+		left[i] = i
 	}
-	return score
+	order := make([]sparql.TriplePattern, 0, len(patterns))
+	for len(left) > 0 {
+		best := 0
+		bestRank := rankPattern(patterns[left[0]], bound, cards[left[0]])
+		for k := 1; k < len(left); k++ {
+			if r := rankPattern(patterns[left[k]], bound, cards[left[k]]); r.before(bestRank) {
+				best, bestRank = k, r
+			}
+		}
+		tp := patterns[left[best]]
+		left = append(left[:best], left[best+1:]...)
+		order = append(order, tp)
+		for _, v := range tp.Vars() {
+			bound[v] = true
+		}
+	}
+	return order
+}
+
+// patternRank is one pattern's standing in orderBGP's choice.
+type patternRank struct {
+	connected bool
+	boundPos  int
+	card      int
+}
+
+func rankPattern(tp sparql.TriplePattern, bound map[string]bool, card int) patternRank {
+	r := patternRank{card: card}
+	shared, free := false, false
+	for _, pt := range [3]sparql.PatternTerm{tp.S, tp.P, tp.O} {
+		switch {
+		case !pt.IsVar():
+			r.boundPos++
+		case bound[pt.Var]:
+			r.boundPos++
+			shared = true
+		default:
+			free = true
+		}
+	}
+	r.connected = shared || !free
+	return r
+}
+
+// before reports whether r ranks strictly ahead of o; ties keep the
+// earlier pattern.
+func (r patternRank) before(o patternRank) bool {
+	if r.connected != o.connected {
+		return r.connected
+	}
+	if r.boundPos != o.boundPos {
+		return r.boundPos > o.boundPos
+	}
+	return r.card < o.card
 }
 
 // joinPattern extends every solution with matches of the pattern.

@@ -46,6 +46,31 @@ func BenchmarkBGPTriangleJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkEvalValuesSeededStar runs the shape of LUBM Q4's bound-join
+// request: a VALUES block binding ?U seeds a star whose only link to ?U is
+// doctoralDegreeFrom, over the graph of lubmShaped (order_test.go).
+func BenchmarkEvalValuesSeededStar(b *testing.B) {
+	e := New(lubmShaped())
+	q := `SELECT ?X ?Y ?U ?C WHERE {
+		VALUES ?U { <http://ex/univ0> <http://ex/univ1> <http://ex/univ2> <http://ex/univ3> <http://ex/univ4> }
+		?X <` + rdf.RDFType + `> <http://ex/GraduateStudent> .
+		?X <http://ex/advisor> ?Y .
+		?X <http://ex/takesCourse> ?C .
+		?Y <http://ex/doctoralDegreeFrom> ?U .
+	}`
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.QueryString(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Len() != 1200 {
+			b.Fatalf("rows = %d, want 1200", res.Len())
+		}
+	}
+}
+
 func BenchmarkAsk(b *testing.B) {
 	st := benchUniversity(2000)
 	e := New(st)
